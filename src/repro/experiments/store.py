@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -53,10 +54,22 @@ class ResultStore:
         #: Lookup accounting, reset with :meth:`reset_stats`.
         self.hits = 0
         self.misses = 0
-        #: Observability hook: called as ``on_quarantine(run_id, path)``
-        #: whenever a corrupt cell file is moved aside (the sweep event
-        #: bus subscribes while an executor runs).
-        self.on_quarantine: Optional[Callable[[str, str], None]] = None
+        self._hooks = threading.local()
+
+    @property
+    def on_quarantine(self) -> Optional[Callable[[str, str], None]]:
+        """Observability hook: called as ``on_quarantine(run_id, path)``
+        whenever a corrupt cell file is moved aside (a run's event bus
+        subscribes while it runs).  Per thread, so concurrent runs over
+        one shared store each narrate only their own quarantines."""
+        hook: Optional[Callable[[str, str], None]] = getattr(
+            self._hooks, "on_quarantine", None
+        )
+        return hook
+
+    @on_quarantine.setter
+    def on_quarantine(self, hook: Optional[Callable[[str, str], None]]) -> None:
+        self._hooks.on_quarantine = hook
 
     def cell_path(self, run_id: str) -> Optional[Path]:
         """Where ``run_id`` persists, or ``None`` for a memory-only store."""

@@ -91,8 +91,14 @@ class RunLedger:
             if existing is not None and metrics_digest(existing) == digest:
                 return run_id
             os.makedirs(self.root, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(_dump(record) + "\n")
+            with open(self.path, "a+b") as handle:
+                # A crash mid-append leaves an unterminated fragment;
+                # end it first so it cannot swallow this row.
+                if handle.seek(0, os.SEEK_END) > 0:
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")
+                handle.write((_dump(record) + "\n").encode("utf-8"))
         return run_id
 
     def set_baseline(self, record: Dict[str, Any]) -> Path:
@@ -105,15 +111,24 @@ class RunLedger:
     # -- reading ---------------------------------------------------------
 
     def records(self) -> List[Dict[str, Any]]:
-        """Every record in append order (oldest first)."""
+        """Every record in append order (oldest first).
+
+        A final line without its newline is an append still in flight
+        (or torn by a crash) and is skipped; so is a line that does not
+        decode — a torn fragment that a later append terminated.
+        """
         if not self.path.exists():
             return []
         out: List[Dict[str, Any]] = []
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
+                if not line.endswith("\n"):
+                    break
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                out.append(record)
         return out
 
     def get(self, run_id: str) -> Optional[Dict[str, Any]]:

@@ -391,30 +391,30 @@ class SweepEventBus:
 # -- the worker-side sink --------------------------------------------------
 #
 # ``execute_cell`` runs in whatever process the executor chose.  It
-# emits through a process-global sink: the serial executor points the
-# sink straight at the bus; the parallel executor's worker initializer
-# points it at a multiprocessing queue whose other end the parent
-# drains into the bus.  With no sink attached (the default), emitting
-# is a single ``is None`` branch — the disabled path.
+# emits through a per-thread sink: in-process execution points the
+# sink straight at the bus; a pool worker's initializer points it at a
+# multiprocessing queue whose other end the parent drains into the
+# bus.  Per thread, because concurrent service jobs may each execute
+# cells in-process (degraded serial) on their own threads.  With no
+# sink attached (the default), emitting is a single ``is None`` branch
+# — the disabled path.
 
-_WORKER_SINK: Optional[Callable[[str, Dict[str, Any]], None]] = None
+_SINKS = threading.local()
 
 
 def attach_worker_sink(sink: Callable[[str, Dict[str, Any]], None]) -> None:
-    """Route this process's cell events into ``sink(kind, fields)``."""
-    global _WORKER_SINK
-    _WORKER_SINK = sink
+    """Route this thread's cell events into ``sink(kind, fields)``."""
+    _SINKS.sink = sink
 
 
 def detach_worker_sink() -> None:
-    """Disable cell-event emission in this process."""
-    global _WORKER_SINK
-    _WORKER_SINK = None
+    """Disable cell-event emission on this thread."""
+    _SINKS.sink = None
 
 
 def emit_cell_event(kind: str, **fields: Any) -> None:
     """Emit one event from cell-execution context (no-op when detached)."""
-    sink = _WORKER_SINK
+    sink = getattr(_SINKS, "sink", None)
     if sink is None:
         return
     try:
@@ -571,7 +571,7 @@ def disabled_overhead_report(
     (e.g. the mean executed-cell time of the current bench), yielding
     the fraction the plane costs a sweep that never asked for it.
     """
-    previous = _WORKER_SINK
+    previous = getattr(_SINKS, "sink", None)
     detach_worker_sink()
     try:
         started = host_wallclock()

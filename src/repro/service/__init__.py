@@ -19,10 +19,9 @@ Layering (network-facing down to the shared experiment core):
 * :mod:`repro.service.errors` — the typed failure taxonomy
   (:class:`TransportError` / :class:`ProtocolError` /
   :class:`ServerBusy` / :class:`JobLost`) shared by both ends;
-* :mod:`repro.service.scheduler` — jobs → the shared scheduling core,
-  with cross-job dedupe (:class:`InflightRegistry`), exactly-once
-  publication (:class:`ResultPublisher`), per-job event routing,
-  admission control, and degraded serial execution;
+* :mod:`repro.service.scheduler` — jobs → the shared execution core,
+  with cross-job dedupe (:class:`InflightRegistry`), per-job event
+  routing, admission control, and journaled recovery;
 * :mod:`repro.service.journal` — the append-only job journal behind
   ``serve --resume`` crash recovery;
 * :mod:`repro.service.jobs` — the job layer over
@@ -55,7 +54,6 @@ from repro.service.protocol import PROTOCOL_VERSION, build_plan, plan_payload
 from repro.service.scheduler import (
     EventRouter,
     InflightRegistry,
-    ResultPublisher,
     Subscription,
     SweepScheduler,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "JobState",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "ResultPublisher",
     "RetryPolicy",
     "ServerBusy",
     "ServiceClient",

@@ -8,6 +8,7 @@ invocations so only missing cells execute.
 """
 
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -26,6 +27,7 @@ from repro.experiments import (
 )
 from repro.obs.ledger import RunLedger
 from repro.obs.runmeta import metrics_digest
+from repro.service import JobSpec, SweepScheduler
 
 DURATION_MS = 2000.0
 WARMUP_MS = 500.0
@@ -190,6 +192,61 @@ class TestWarmStart:
         SerialExecutor().run(plan, store=ResultStore(tmp_path / "cells"), ledger=ledger)
         SerialExecutor().run(plan, store=ResultStore(tmp_path / "cells"), ledger=ledger)
         assert len(ledger.records()) == 1
+
+
+def _resume(entry, plan, store, ledger):
+    """Run ``plan`` through one of the three entry points."""
+    if entry == "serial":
+        return SerialExecutor().run(plan, store=store, ledger=ledger)
+    if entry == "parallel":
+        return ParallelExecutor(2).run(plan, store=store, ledger=ledger)
+    scheduler = SweepScheduler(store, ledger=ledger, workers=1)
+    try:
+        job = scheduler.submit(
+            JobSpec(kind="cells", params={"cells": [c.to_dict() for c in plan]})
+        )
+        for _ in range(1200):
+            if job.state.terminal:
+                break
+            time.sleep(0.05)
+        assert job.state.value == "done", job.error
+        return job.report
+    finally:
+        scheduler.close()
+
+
+class TestStoreWithoutLedgerRow:
+    """One trust rule on every entry point: a stored cell whose ledger
+    row is missing (a crash between store write and ledger append) is
+    not cached — the resume re-executes it and the ledger heals."""
+
+    @pytest.mark.parametrize("entry", ["serial", "parallel", "scheduler"])
+    def test_resume_reexecutes_and_heals_ledger(self, entry, tmp_path):
+        done, torn = spec("IM", "ODR60"), spec("IM", "NoReg")
+        plan = Plan([done, torn])
+        clean = SerialExecutor().run(
+            plan, store=ResultStore(), ledger=RunLedger(tmp_path / "clean")
+        )
+        ledger = RunLedger(tmp_path / "ledger")
+        SerialExecutor().run(
+            Plan([done]), store=ResultStore(tmp_path / "cells"), ledger=ledger
+        )
+        ResultStore(tmp_path / "cells").put(
+            torn.run_id, clean.outcome_for(torn.run_id).record
+        )
+
+        report = _resume(entry, plan, ResultStore(tmp_path / "cells"), ledger)
+        assert report.ok and report.executed == 1 and report.cached == 1
+        assert not report.outcome_for(torn.run_id).cached
+        rows = ledger.records()
+        assert sorted(r["run_id"] for r in rows) == sorted(plan.run_ids)
+        clean_digests = {
+            r["run_id"]: metrics_digest(r)
+            for r in RunLedger(tmp_path / "clean").records()
+        }
+        assert {r["run_id"]: metrics_digest(r) for r in rows} == clean_digests
+        for a, b in zip(clean.outcomes, report.outcomes):
+            assert a.spec == b.spec and a.record == b.record
 
 
 class TestRunnerFacade:

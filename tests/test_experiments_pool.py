@@ -20,7 +20,14 @@ from repro.experiments import (
 )
 from repro.obs.ledger import RunLedger
 from repro.obs.runmeta import metrics_digest
-from repro.obs.sweep import CELL_FINISHED, POOL_OPENED, SweepEventBus
+from repro.obs.sweep import (
+    CELL_FINISHED,
+    CELL_STARTED,
+    DEGRADED_SERIAL,
+    POOL_OPENED,
+    SweepEventBus,
+    validate_events,
+)
 
 DURATION_MS = 2000.0
 WARMUP_MS = 500.0
@@ -141,3 +148,25 @@ class TestPoolReuse:
             before = len(seen)
             pool.submit(execute_cells, [spec("STK", "NoReg")]).result(timeout=60)
             assert len(seen) > before  # worker events flow to our sink again
+
+
+class TestDegradedSerial:
+    def test_closed_pool_finishes_the_plan_in_process(self):
+        """Offline runs get the service's fallback: a pool that cannot
+        provide workers degrades to in-process execution, same bits."""
+        plan = Plan([spec("IM"), spec("STK", "NoReg")])
+        serial = SerialExecutor().run(plan, store=ResultStore())
+        pool = WorkerPool(workers=1)
+        pool.close()
+        bus = SweepEventBus()
+        report = ParallelExecutor(2, pool=pool).run(
+            plan, store=ResultStore(), bus=bus
+        )
+        assert report.ok and report.executed == 2
+        for a, b in zip(serial.outcomes, report.outcomes):
+            assert a.spec == b.spec and a.record == b.record
+        kinds = [e.kind for e in bus.events]
+        assert DEGRADED_SERIAL in kinds
+        # In-process cells still narrate their worker-side events.
+        assert kinds.count(CELL_STARTED) == kinds.count(CELL_FINISHED) == 2
+        assert validate_events([e.to_dict() for e in bus.events]) == []

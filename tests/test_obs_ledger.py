@@ -143,6 +143,21 @@ class TestRunLedger:
         with pytest.raises(ValueError):
             RunLedger(tmp_path / "runs").append({"metrics": {}})
 
+    def test_torn_tail_is_skipped_and_next_append_reads_back(
+        self, tmp_path, record
+    ):
+        """A crash mid-append leaves an unterminated fragment: readers
+        skip it, and the next append cannot be swallowed by it."""
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.append(record)
+        with open(ledger.path, "a", encoding="utf-8") as handle:
+            handle.write('{"run_id":"torn","metr')
+        assert ledger.records() == [record]
+        later = json.loads(json.dumps(record))
+        later["run_id"] = "f" * 16
+        ledger.append(later)
+        assert ledger.records() == [record, later]
+
     def test_baseline_pin_and_read(self, tmp_path, record):
         ledger = RunLedger(tmp_path / "runs")
         assert ledger.baseline() is None

@@ -14,6 +14,8 @@ worker (the queue drain must neither hang nor corrupt the log).
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -69,6 +71,16 @@ def four_cell_plan() -> Plan:
 
 def kinds(events):
     return [event.kind for event in events]
+
+
+def _emit_on_own_sink(n, seen):
+    """Attach a sink collecting into ``seen`` on this thread; emit 300."""
+    sweepbus.attach_worker_sink(lambda kind, fields: seen.append(fields))
+    try:
+        for i in range(300):
+            sweepbus.emit_cell_event(sweepbus.CELL_STARTED, run_id=f"{n}:{i}")
+    finally:
+        sweepbus.detach_worker_sink()
 
 
 class TestBus:
@@ -176,6 +188,27 @@ class TestBus:
         finally:
             sweepbus.detach_worker_sink()
         assert boom == ["cell_started"]  # raised, swallowed
+
+    def test_worker_sinks_are_per_thread(self):
+        """Concurrent in-process runs (service jobs degraded to serial)
+        each attach a sink; no event may cross into another's."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        seen = {n: [] for n in range(6)}
+        threads = [
+            threading.Thread(target=_emit_on_own_sink, args=(n, seen[n]))
+            for n in seen
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        for n, fields in seen.items():
+            assert [f["run_id"] for f in fields] == [f"{n}:{i}" for i in range(300)]
 
 
 class TestResources:

@@ -178,6 +178,9 @@ class TestKillDashNineRecovery:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            # Its own process group, so a drill can reap the pool
+            # workers a kill -9 of the server orphans.
+            start_new_session=True,
         )
         port = None
         assert proc.stdout is not None
@@ -222,6 +225,12 @@ class TestKillDashNineRecovery:
         finally:
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
+            # The stalled pool worker (and the event-plane manager)
+            # outlive the server; reap the group so they do not linger.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
         journal = JobJournal(journal_path_for(ledger_dir))
         assert [e.job_id for e in journal.pending()] == [job_id]
