@@ -1,11 +1,14 @@
 """Whole-program determinism analyzer for the ODR reproduction.
 
-Where :mod:`repro.devtools.simlint` judges each file in isolation, this
-package links the whole tree: per-module facts feed a call graph, a
-purity dataflow walks the closure of the sim-pure boundary, contract
+The repository's one static determinism checker.  One fact-extraction
+pass per file feeds every rule: per-file hazards (clock and entropy
+reads outside their sanctuaries, set iteration, module-level state,
+non-generator engine processes, float timestamp equality) are reported
+wherever they occur; a call graph lets the purity dataflow walk the
+closure of the sim-pure boundary and attach call chains; contract
 passes cross-check structures that must stay in sync (CellSpec fields
 vs the run-id hash, FaultSpec subclasses vs their registry and catalog,
-sweep-event kinds vs the schema and docs), and a fork-safety pass vets
+sweep-event kinds vs the schema and docs); and a fork-safety pass vets
 everything handed to worker pools.  ``odr-sim analyze`` is the CLI.
 """
 

@@ -11,9 +11,9 @@ entries are informational, never fatal, so deleting a file does not
 break CI.
 
 Stale inline *waivers* are the opposite: a ``# analyzer: allow=P1``
-comment that no longer suppresses anything is a ``W1`` finding (fatal),
-because dead waivers are how real regressions sneak back in under an
-old rationale.
+comment (or a header ``# analyzer: allow-file=D2`` comment) that no
+longer suppresses anything is a ``W1`` finding (fatal), because dead
+waivers are how real regressions sneak back in under an old rationale.
 """
 
 from __future__ import annotations
@@ -116,32 +116,47 @@ def apply_baseline(
 def apply_waivers(
     findings: Sequence[Finding], modules: Iterable[ModuleFacts]
 ) -> Tuple[List[Finding], Dict[str, int], Dict[Tuple[str, int], Set[str]]]:
-    """Silence findings covered by a same-line inline waiver.
+    """Silence findings covered by a same-line or file waiver.
 
     Returns (kept findings, waived counts per rule, used waiver slots)
-    where a slot is ``(path, line)`` mapped to the rule ids it actually
-    suppressed — the input for stale-waiver detection.
+    where a slot is ``(path, waiver line)`` mapped to the rule ids it
+    actually suppressed — the input for stale-waiver detection.  A
+    line waiver takes precedence over a file waiver for the same rule.
     """
-    waiver_index: Dict[Tuple[str, int], Set[str]] = {}
+    line_index: Dict[Tuple[str, int], Set[str]] = {}
+    #: path -> rule -> line of the file waiver covering it
+    file_index: Dict[str, Dict[str, int]] = {}
     for mod in modules:
         for waiver in mod.waivers:
             if not waiver.rationale:
                 continue  # rationale-less waivers suppress nothing (W1 fires)
-            waiver_index.setdefault((mod.path, waiver.line), set()).update(
-                waiver.rules
-            )
+            if waiver.scope == "line":
+                line_index.setdefault((mod.path, waiver.line), set()).update(
+                    waiver.rules
+                )
+            elif waiver.scope == "file":
+                for rule in waiver.rules:
+                    file_index.setdefault(mod.path, {}).setdefault(rule, waiver.line)
     kept: List[Finding] = []
     waived: Dict[str, int] = {}
     used: Dict[Tuple[str, int], Set[str]] = {}
     for finding in findings:
-        slot = (finding.path, finding.line)
-        rules = waiver_index.get(slot, set())
-        if finding.rule in rules:
-            waived[finding.rule] = waived.get(finding.rule, 0) + 1
-            used.setdefault(slot, set()).add(finding.rule)
-        else:
+        slot: Optional[Tuple[str, int]] = (finding.path, finding.line)
+        if finding.rule not in line_index.get((finding.path, finding.line), set()):
+            file_line = file_index.get(finding.path, {}).get(finding.rule)
+            slot = None if file_line is None else (finding.path, file_line)
+        if slot is None:
             kept.append(finding)
+            continue
+        waived[finding.rule] = waived.get(finding.rule, 0) + 1
+        used.setdefault(slot, set()).add(finding.rule)
     return kept, waived, used
+
+
+def _w1(mod: ModuleFacts, line: int, message: str, detail: str) -> Finding:
+    return Finding(
+        rule="W1", path=mod.path, line=line, col=1, message=message, detail=detail
+    )
 
 
 def waiver_findings(
@@ -149,51 +164,53 @@ def waiver_findings(
     used: Mapping[Tuple[str, int], Set[str]],
     known_rules: Optional[Set[str]] = None,
 ) -> List[Finding]:
-    """W1: waivers that are malformed, unknown, or suppress nothing."""
+    """W1: waivers that are malformed, misplaced, unknown, or suppress nothing."""
     findings: List[Finding] = []
     for mod in modules:
         for waiver in mod.waivers:
             slot = (mod.path, waiver.line)
+            form = "allow-file" if waiver.scope != "line" else "allow"
             if not waiver.rationale:
                 findings.append(
-                    Finding(
-                        rule="W1",
-                        path=mod.path,
-                        line=waiver.line,
-                        col=1,
-                        message=(
-                            "waiver has no rationale: write "
-                            "`# analyzer: allow=<RULE> -- <why this is safe>`"
-                        ),
-                        detail="waiver:no-rationale",
+                    _w1(
+                        mod,
+                        waiver.line,
+                        "waiver has no rationale: write "
+                        f"`# analyzer: {form}=<RULE> -- <why this is safe>`",
+                        "waiver:no-rationale",
+                    )
+                )
+                continue
+            if waiver.scope == "misplaced":
+                findings.append(
+                    _w1(
+                        mod,
+                        waiver.line,
+                        "file waiver below the first def/class suppresses "
+                        "nothing: move it into the module header",
+                        "waiver:misplaced-file",
                     )
                 )
                 continue
             for rule in waiver.rules:
                 if known_rules is not None and rule not in known_rules:
                     findings.append(
-                        Finding(
-                            rule="W1",
-                            path=mod.path,
-                            line=waiver.line,
-                            col=1,
-                            message=f"waiver names unknown rule {rule!r}",
-                            detail=f"waiver:unknown:{rule}",
+                        _w1(
+                            mod,
+                            waiver.line,
+                            f"waiver names unknown rule {rule!r}",
+                            f"waiver:unknown:{rule}",
                         )
                     )
                 elif rule not in used.get(slot, set()):
+                    where = "in this file" if waiver.scope == "file" else "on this line"
                     findings.append(
-                        Finding(
-                            rule="W1",
-                            path=mod.path,
-                            line=waiver.line,
-                            col=1,
-                            message=(
-                                f"stale waiver: allow={rule} suppresses "
-                                f"nothing on this line — remove it so the "
-                                f"rule can bite again"
-                            ),
-                            detail=f"waiver:stale:{rule}",
+                        _w1(
+                            mod,
+                            waiver.line,
+                            f"stale waiver: {form}={rule} suppresses nothing "
+                            f"{where} — remove it so the rule can bite again",
+                            f"waiver:stale:{rule}",
                         )
                     )
     return findings

@@ -24,7 +24,7 @@ from repro.devtools.analyzer.facts import ModuleFacts, facts_from_payload
 __all__ = ["FactsCache"]
 
 #: Bump when the ModuleFacts payload shape changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class FactsCache:

@@ -8,11 +8,11 @@ The pipeline is strictly phased:
    negative-drift tests prove the contract rules fire.
 2. **Extract** per-module facts, consulting the per-file-hash cache.
 3. **Link** everything into one :class:`ProgramGraph`.
-4. **Run passes**: purity (P1-P5), contracts (C1-C5), fork safety
-   (F1-F2).
-5. **Filter**: ``--select`` subset, line-scoped waivers (tracking which
-   actually fired), suppression baseline, then W1 for waivers that
-   suppressed nothing.
+4. **Run passes**: purity (P1-P6), DES correctness (D1-D2), contracts
+   (C1-C5), fork safety (F1-F2).
+5. **Filter**: ``--select`` subset, line and file waivers (tracking
+   which actually fired), suppression baseline, then W1 for waivers
+   that suppressed nothing.
 
 The driver is pure with respect to its inputs plus the filesystem reads
 it performs — the analyzer holds itself to the standard it enforces.
@@ -21,7 +21,6 @@ it performs — the analyzer holds itself to the standard it enforces.
 from __future__ import annotations
 
 import os
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.devtools.analyzer.baseline import (
@@ -32,6 +31,7 @@ from repro.devtools.analyzer.baseline import (
 )
 from repro.devtools.analyzer.cache import FactsCache
 from repro.devtools.analyzer.contracts import contract_findings
+from repro.devtools.analyzer.des import des_findings
 from repro.devtools.analyzer.facts import (
     ModuleFacts,
     extract_module,
@@ -43,11 +43,7 @@ from repro.devtools.analyzer.forksafety import fork_safety_findings
 from repro.devtools.analyzer.graph import ProgramGraph, build_graph
 from repro.devtools.analyzer.purity import purity_findings
 from repro.devtools.analyzer.rules import RULES, normalize_select
-
-try:  # the C5 docs check cross-references simlint's rule registry
-    from repro.devtools.simlint import RULES as SIMLINT_RULES
-except ImportError:  # pragma: no cover - simlint is part of this package
-    SIMLINT_RULES = {}
+from repro.obs.probes import host_wallclock
 
 __all__ = ["analyze", "collect_sources", "DEFAULT_DOCS"]
 
@@ -62,10 +58,13 @@ def collect_sources(
     """``path -> source`` for every ``.py`` under ``paths``.
 
     Overlay entries replace same-path disk content and add paths that
-    do not exist on disk at all.
+    do not exist on disk at all.  A requested path that does not exist
+    raises ``FileNotFoundError``.
     """
     sources: Dict[str, str] = {}
     for root in paths:
+        if not os.path.exists(root):
+            raise FileNotFoundError(f"no such file or directory: {root}")
         if os.path.isfile(root):
             if root.endswith(".py"):
                 sources[root] = _read(root)
@@ -145,7 +144,8 @@ def analyze(
     check; when absent, ``docs_paths`` (default :data:`DEFAULT_DOCS`)
     are read from disk where they exist.
     """
-    started = time.monotonic()  # simlint: disable=R2 -- timing the analyzer's own run, not sim state
+    started = host_wallclock()
+    selected = normalize_select(select) if select is not None else None
     sources = collect_sources(paths, overlay)
     cache = FactsCache(cache_path)
     modules = _extract_all(sources, cache)
@@ -162,11 +162,11 @@ def analyze(
     findings: List[Finding] = []
     findings.extend(_parse_error_findings(modules))
     findings.extend(purity_findings(graph, roots))
-    findings.extend(contract_findings(graph, docs, RULES, SIMLINT_RULES))
+    findings.extend(des_findings(graph))
+    findings.extend(contract_findings(graph, docs, RULES))
     findings.extend(fork_safety_findings(graph))
 
-    if select is not None:
-        selected = normalize_select(select)
+    if selected is not None:
         findings = [f for f in findings if f.rule in selected]
 
     findings, waived, used_waivers = apply_waivers(findings, modules)
@@ -190,5 +190,5 @@ def analyze(
         stale_baseline=list(stale),
         cache_hits=cache.hits,
         cache_misses=cache.misses,
-        elapsed_s=time.monotonic() - started,  # simlint: disable=R2 -- self-timing
+        elapsed_s=host_wallclock() - started,
     )

@@ -11,9 +11,10 @@ files straight from disk and only the whole-program passes
 (:mod:`.graph`, :mod:`.purity`, :mod:`.contracts`) run fresh.
 
 Taint *events* recorded here are mechanical observations ("calls
-``time.time``", "iterates a set expression", "writes a global"); the
-purity pass decides which of them are findings, for which rule, and
-whether the function is reachable from the sim-pure boundary.
+``time.time``", "iterates a set expression", "writes a global",
+"registers ``f(...)`` as an engine process"); the passes decide which
+of them are findings, for which rule, and whether the function is
+reachable from the sim-pure boundary.
 """
 
 from __future__ import annotations
@@ -73,8 +74,16 @@ SMUGGLED_FACTORIES = {
     "random.SystemRandom": "a random.SystemRandom instance",
 }
 
+#: Calls that build a fresh mutable container (P6 module state).
+MUTABLE_CALLS = frozenset(
+    {"list", "dict", "set", "defaultdict", "deque", "Counter", "OrderedDict", "bytearray"}
+)
+
+#: Names that denote a float simulation timestamp (D2).
+TIMESTAMP_RE = re.compile(r"(^now$|^t_|_ms$|_time$|_at$|timestamp)")
+
 _WAIVER_RE = re.compile(
-    r"#\s*analyzer:\s*allow=([A-Za-z0-9,\s]+?)(?:\s*--\s*(.*?))?\s*(?:#|$)"
+    r"#\s*analyzer:\s*allow(-file)?=([A-Za-z0-9,\s]+?)(?:\s*--\s*(.*?))?\s*(?:#|$)"
 )
 _HASH_EXEMPT_RE = re.compile(r"#\s*analyzer:\s*hash-exempt(?:\s*--\s*(.*?))?\s*(?:#|$)")
 
@@ -84,7 +93,9 @@ class TaintEvent:
     """One mechanical impurity observation inside a function body."""
 
     #: ``clock`` | ``entropy`` | ``env`` | ``global_write`` |
-    #: ``set_iter`` | ``dumps_unsorted`` | ``hash_digest``
+    #: ``set_iter`` | ``dumps_unsorted`` | ``hash_digest`` |
+    #: ``mutable_global`` | ``time_eq`` | ``process`` (detail: the
+    #: registered callee as written, e.g. ``self.run``)
     kind: str
     line: int
     col: int
@@ -126,11 +137,14 @@ class SubmitSite:
 
 @dataclass
 class Waiver:
-    """One line-scoped ``# analyzer: allow=...`` comment."""
+    """One ``# analyzer: allow=...`` or ``# analyzer: allow-file=...`` comment."""
 
     line: int
     rules: List[str]
     rationale: str
+    #: ``line`` | ``file`` (``allow-file`` in the module header) |
+    #: ``misplaced`` (``allow-file`` below the first def/class: inert)
+    scope: str = "line"
 
 
 @dataclass
@@ -281,14 +295,38 @@ def _is_set_expr(node: ast.expr) -> bool:
         return True
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return node.func.id in ("set", "frozenset")
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
+        # Union/intersection/difference of set expressions.
+        return _is_set_expr(node.left) or _is_set_expr(node.right)
     return False
+
+
+def _is_mutable_literal(node: ast.expr) -> bool:
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else (
+            func.attr if isinstance(func, ast.Attribute) else None
+        )
+        return name in MUTABLE_CALLS
+    return False
+
+
+def _looks_like_timestamp(node: ast.expr) -> bool:
+    name = node.id if isinstance(node, ast.Name) else (
+        node.attr if isinstance(node, ast.Attribute) else None
+    )
+    return name is not None and bool(TIMESTAMP_RE.search(name))
 
 
 def _parse_comments(source: str) -> Tuple[List[Waiver], Set[int]]:
     """Waiver comments and ``hash-exempt`` marker lines in ``source``.
 
     Real ``COMMENT`` tokens only — a waiver example quoted inside a
-    docstring must not register as a live waiver.
+    docstring must not register as a live waiver.  A file waiver counts
+    only in the module header, above the first top-level def/class, so
+    it cannot hide mid-file.
     """
     waivers: List[Waiver] = []
     hash_exempt: Set[int] = set()
@@ -296,18 +334,31 @@ def _parse_comments(source: str) -> Tuple[List[Waiver], Set[int]]:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):
         return waivers, hash_exempt
+    header_end = next(
+        (
+            tok.start[0]
+            for tok in tokens
+            if tok.start[1] == 0 and tok.string in ("def", "class", "async", "@")
+        ),
+        None,
+    )
     for tok in tokens:
         if tok.type != tokenize.COMMENT:
             continue
         lineno = tok.start[0]
         match = _WAIVER_RE.search(tok.string)
         if match:
-            rules = [r.strip().upper() for r in match.group(1).split(",") if r.strip()]
+            scope = "line"
+            if match.group(1):
+                in_header = header_end is None or lineno < header_end
+                scope = "file" if in_header else "misplaced"
+            rules = [r.strip().upper() for r in match.group(2).split(",") if r.strip()]
             waivers.append(
                 Waiver(
                     line=lineno,
                     rules=rules,
-                    rationale=(match.group(2) or "").strip(),
+                    rationale=(match.group(3) or "").strip(),
+                    scope=scope,
                 )
             )
         if _HASH_EXEMPT_RE.search(tok.string):
@@ -321,6 +372,8 @@ class _Extractor(ast.NodeVisitor):
         self.hash_exempt = hash_exempt
         self._class_stack: List[ClassFacts] = []
         self._func_stack: List[FunctionFacts] = []
+        #: ids of call-target expressions (a call is not a bare reference).
+        self._called: Set[int] = set()
         self._ensure_function(MODULE_BODY, 1, False)
 
     # -- plumbing --------------------------------------------------------
@@ -487,7 +540,16 @@ class _Extractor(ast.NodeVisitor):
         ):
             self._class_stack[-1].attr_types[target.attr] = resolved
 
+    def _check_module_state(self, targets: Sequence[ast.expr], value: ast.expr) -> None:
+        if self._func_stack or self._class_stack or not _is_mutable_literal(value):
+            return
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if all(name.startswith("__") and name.endswith("__") for name in names):
+            return  # __all__ and friends: module metadata, never mutated
+        self._taint("mutable_global", value, ", ".join(names) or "assignment")
+
     def visit_Assign(self, node: ast.Assign) -> None:
+        self._check_module_state(node.targets, node.value)
         for target in node.targets:
             self._record_constructor_type(target, node.value)
             # Module-level string constants and dict/tuple registries.
@@ -509,6 +571,7 @@ class _Extractor(ast.NodeVisitor):
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
+            self._check_module_state([node.target], node.value)
             self._record_constructor_type(node.target, node.value)
             if not self._func_stack and isinstance(node.target, ast.Name):
                 self._record_module_constant(node.target.id, node.value)
@@ -560,28 +623,54 @@ class _Extractor(ast.NodeVisitor):
         resolved = self._resolve_alias(dotted) if dotted else None
         if dotted:
             self._fn.calls.append(dotted)
+            self._called.add(id(node.func))
         self._check_taint_call(node, resolved)
         self._check_emit(node, dotted, resolved)
         self._check_submit(node, dotted, resolved)
+        # <env>.process(callee(...)): D1 resolves the callee later.
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "process"
+            and node.args
+            and isinstance(node.args[0], ast.Call)
+        ):
+            callee = _dotted(node.args[0].func)
+            if callee is not None:
+                self._taint("process", node, callee)
         self.generic_visit(node)
 
-    def _check_taint_call(self, node: ast.Call, resolved: Optional[str]) -> None:
-        if resolved is None:
-            return
+    def _check_source(self, node: ast.AST, resolved: str, suffix: str) -> bool:
+        """Record a clock/entropy taint if ``resolved`` names a raw source."""
         head, _, attr = resolved.rpartition(".")
         if head == "time" and attr in CLOCK_ATTRS:
-            self._taint("clock", node, f"time.{attr}()")
+            self._taint("clock", node, f"time.{attr}{suffix}")
         elif attr in DATETIME_ATTRS and head in (
             "datetime",
             "datetime.datetime",
             "datetime.date",
         ):
-            self._taint("clock", node, f"{head}.{attr}()")
+            self._taint("clock", node, f"{head}.{attr}{suffix}")
         elif head in ENTROPY_MODULES or resolved in (
             "os.urandom",
         ) or (head == "uuid" and attr in UUID_ENTROPY):
-            self._taint("entropy", node, f"{resolved}()")
-        elif resolved == "os.getenv" or resolved in ("os.environ.get",):
+            self._taint("entropy", node, f"{resolved}{suffix}")
+        else:
+            return False
+        return True
+
+    def _check_reference(self, node: ast.expr) -> None:
+        """A raw source passed around uncalled (``clock=time.perf_counter``)."""
+        if id(node) in self._called:
+            return
+        dotted = _dotted(node)
+        if dotted is not None:
+            self._check_source(node, self._resolve_alias(dotted), "")
+
+    def _check_taint_call(self, node: ast.Call, resolved: Optional[str]) -> None:
+        if resolved is None or self._check_source(node, resolved, "()"):
+            return
+        head, _, attr = resolved.rpartition(".")
+        if resolved == "os.getenv" or resolved in ("os.environ.get",):
             self._taint("env", node, f"{resolved}()")
         elif resolved.startswith("hashlib.") or attr in ("hexdigest", "digest"):
             self._taint("hash_digest", node, resolved)
@@ -602,13 +691,26 @@ class _Extractor(ast.NodeVisitor):
             dotted = _dotted(node)
             if dotted and (dotted.startswith("self.") or "." not in dotted):
                 self._fn.refs.append(dotted)
-            if dotted and self._resolve_alias(dotted) == "os.environ":
-                pass  # handled at the Subscript/Call level
+            self._check_reference(node)
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
             self._fn.refs.append(node.id)
+            if node.id in self.facts.from_imports:
+                self._check_reference(node)
+        self.generic_visit(node)
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        operands = [node.left] + list(node.comparators)
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if not isinstance(op, (ast.Eq, ast.NotEq)):
+                continue
+            if any(isinstance(side, ast.Constant) and side.value is None for side in (left, right)):
+                continue  # `x == None` is an identity-style check, not float math
+            if _looks_like_timestamp(left) or _looks_like_timestamp(right):
+                self._taint("time_eq", node, "==/!= on a float timestamp")
+                break
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:

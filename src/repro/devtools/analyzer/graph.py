@@ -152,7 +152,7 @@ class ProgramGraph:
             return
         self.edges.setdefault(caller, set()).add(callee)
 
-    def _resolve_call(
+    def resolve_call(
         self, mod: ModuleFacts, fn: FunctionFacts, written: str
     ) -> Optional[FunctionId]:
         head, _, rest = written.partition(".")
@@ -222,7 +222,7 @@ class ProgramGraph:
     def _link(self) -> None:
         for fid, (mod, fn) in self.functions.items():
             for written in fn.calls:
-                self._add_edge(fid, self._resolve_call(mod, fn, written))
+                self._add_edge(fid, self.resolve_call(mod, fn, written))
                 # A constructor call also implicitly reaches every method
                 # the instance's own __init__ registers; that shows up
                 # naturally through __init__'s refs/calls, so no extra

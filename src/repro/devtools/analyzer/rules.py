@@ -8,9 +8,14 @@ against this module, so the docs cannot silently drift from the code).
 Families
 --------
 ``P*``
-    Purity dataflow: raw nondeterminism sources (wall clocks, entropy,
-    environment reads, hash-order hazards, global writes) reachable
-    from the declared sim-pure boundary.
+    Purity: raw nondeterminism sources.  Wall clocks and entropy are
+    findings in every scanned file outside their sanctuary module (with
+    the call chain when the sim-pure boundary reaches them); environment
+    reads and global writes only inside the boundary; set iteration
+    everywhere; module-level mutable state in the sim packages.
+``D*``
+    Discrete-event correctness: engine processes must be generators,
+    and float timestamps are never compared with ``==``/``!=``.
 ``C*``
     Contract drift: structures that must stay in sync — cache-key
     fields, the fault catalog, the sweep event schema, the docs tables.
@@ -26,10 +31,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Set
 
 __all__ = [
-    "CLOCK_SANCTUARY_MODULES",
-    "ENTROPY_SANCTUARY_MODULES",
-    "OBS_PLANE_MODULES",
+    "MODULE_STATE_PACKAGES",
     "PURITY_ROOTS",
+    "SANCTUARIES",
     "RULES",
     "explain",
     "normalize_select",
@@ -37,11 +41,14 @@ __all__ = [
 
 #: Rule id -> one-line summary (``--list-rules``, SARIF shortDescription).
 RULES: Dict[str, str] = {
-    "P1": "wall-clock read reachable from the sim-pure boundary",
-    "P2": "unseeded entropy source reachable from the sim-pure boundary",
+    "P1": "wall-clock read outside repro.obs.probes",
+    "P2": "unseeded entropy source outside repro.simcore.rng",
     "P3": "environment read reachable from the sim-pure boundary",
     "P4": "module global written from sim-pure code",
-    "P5": "unordered iteration or unsorted json.dumps feeding a content hash",
+    "P5": "iteration over a set, or unsorted json.dumps feeding a content hash",
+    "P6": "module-level mutable state in pipeline/regulators/core",
+    "D1": "non-generator registered as an engine process",
+    "D2": "==/!= comparison of float simulation timestamps",
     "C1": "CellSpec field missing from the content-address payload",
     "C2": "FaultSpec subclass not registered in the FAULT_TYPES catalog",
     "C3": "cataloged fault kind never exercised by a chaos fault class",
@@ -56,21 +63,22 @@ RULES: Dict[str, str] = {
 _EXPLANATIONS: Dict[str, str] = {
     "P1": (
         "Every run must be a pure function of (config, seed); a wall-clock\n"
-        "read (time.time/monotonic/perf_counter, datetime.now, ...) inside\n"
-        "code reachable from the engine's event loop or execute_cell makes\n"
-        "two identical runs diverge. The analyzer propagates taint over the\n"
-        "whole-program call graph, so a clock buried three calls deep is\n"
-        "still found and reported with its call chain. The sanctioned\n"
-        "escape hatch is repro.obs.probes (host_wallclock/host_epoch):\n"
-        "injectable, observational clocks that never feed back into\n"
-        "scheduling."
+        "read (time.time/monotonic/perf_counter, datetime.now, ...) makes\n"
+        "two identical runs diverge. Any call or reference to a raw clock\n"
+        "outside repro.obs.probes is a finding. When the code is reachable\n"
+        "from the engine's event loop or execute_cell, the finding carries\n"
+        "the call chain, so a clock buried three calls deep shows how it\n"
+        "is reached. The sanctioned escape hatch is repro.obs.probes\n"
+        "(host_wallclock/host_epoch): injectable, observational clocks\n"
+        "that never feed back into scheduling."
     ),
     "P2": (
         "Unseeded entropy (module-level random, numpy.random, os.urandom,\n"
-        "uuid.uuid1/uuid4, secrets) reachable from the sim-pure boundary\n"
-        "breaks replayability. All randomness must flow through the seeded\n"
-        "RngRegistry streams in repro.simcore.rng, which derive every draw\n"
-        "from the experiment seed."
+        "uuid.uuid1/uuid4, secrets) breaks replayability. All randomness\n"
+        "must flow through the seeded RngRegistry streams in\n"
+        "repro.simcore.rng, which derive every draw from the experiment\n"
+        "seed; any use outside that module is a finding, with the call\n"
+        "chain when the sim-pure boundary reaches it."
     ),
     "P3": (
         "os.environ / os.getenv reads reachable from the sim-pure boundary\n"
@@ -87,12 +95,37 @@ _EXPLANATIONS: Dict[str, str] = {
         "Keep all mutable state on per-run objects."
     ),
     "P5": (
-        "A function that computes a content hash (hashlib, or the ledger's\n"
-        "config_fingerprint) must not fold in unordered iteration or\n"
-        "json.dumps(...) without sort_keys=True: dict/set order is an\n"
-        "accident of insertion history and hash seeding, so the 'same'\n"
+        "Set order is an accident of insertion history and hash seeding:\n"
+        "an event scheduled from inside a loop over a set (or a union,\n"
+        "intersection or difference of sets) makes the calendar order\n"
+        "depend on it, so every such loop or comprehension is a finding;\n"
+        "iterate sorted(...) instead. A function that computes a content\n"
+        "hash (hashlib, or the ledger's config_fingerprint) must also not\n"
+        "fold in json.dumps(...) without sort_keys=True, or the 'same'\n"
         "payload can produce different digests — cache misses at best,\n"
         "cross-experiment collisions at worst."
+    ),
+    "P6": (
+        "A mutable container bound at module level in repro.pipeline,\n"
+        "repro.regulators or repro.core (a list/dict/set literal or\n"
+        "constructor) is state shared by every run in one process, so run\n"
+        "N can see what run N-1 left behind. Use tuples/frozensets for\n"
+        "constants and per-run objects for state. __all__ and other dunder\n"
+        "names are exempt."
+    ),
+    "D1": (
+        "env.process(f(...)) must be handed a generator: a plain function\n"
+        "returns before the engine can resume it, so the process is a\n"
+        "silent no-op (a TypeError at runtime at best). The callee is\n"
+        "resolved over the whole-program graph (self methods, base\n"
+        "classes, imported functions) and checked for a yield."
+    ),
+    "D2": (
+        "Two code paths computing 'the same' simulation time can differ in\n"
+        "the last ulp, so ==/!= on a float timestamp (names like now,\n"
+        "t_*, *_ms, *_time, *_at, *timestamp*) is a latent flake. Use\n"
+        "math.isclose or an explicit epsilon. Comparisons with None are\n"
+        "identity checks and are exempt."
     ),
     "C1": (
         "CellSpec.config_payload() is the cache key: the run_id hashes it.\n"
@@ -147,12 +180,13 @@ _EXPLANATIONS: Dict[str, str] = {
         "draws depend on parent-process history."
     ),
     "W1": (
-        "A waiver (`# analyzer: allow=P1 -- rationale`) must carry a\n"
-        "rationale and must still match a live finding on its line. A\n"
-        "stale waiver is worse than none: it documents a hazard that no\n"
+        "A waiver (`# analyzer: allow=P1 -- rationale`, or the header-only\n"
+        "`# analyzer: allow-file=D2 -- rationale`) must carry a rationale\n"
+        "and must still match a live finding on its line (or in its file).\n"
+        "A stale waiver is worse than none: it documents a hazard that no\n"
         "longer exists and will silently swallow the next, different\n"
-        "finding on that line. Delete waivers when the code they excuse\n"
-        "goes away."
+        "finding. A file waiver below the first def/class suppresses\n"
+        "nothing. Delete waivers when the code they excuse goes away."
     ),
 }
 
@@ -164,18 +198,16 @@ PURITY_ROOTS = (
     "repro.experiments.executor:execute_cell",
 )
 
-#: The injectable-clock home: the one module allowed to read host
-#: clocks directly.  Calls *to* its wrappers are sanctioned (they are
-#: observational and injectable); raw reads anywhere else are not.
-CLOCK_SANCTUARY_MODULES = frozenset({"repro.obs.probes"})
+#: Taint kind -> the one module where that raw source is sanctioned:
+#: the injectable-clock home (its wrappers are observational, so calls
+#: *to* them are fine anywhere) and the seeded-randomness home.
+SANCTUARIES = {
+    "clock": frozenset({"repro.obs.probes"}),
+    "entropy": frozenset({"repro.simcore.rng"}),
+}
 
-#: The seeded-randomness home (mirrors simlint R1's allowlist).
-ENTROPY_SANCTUARY_MODULES = frozenset({"repro.simcore.rng"})
-
-#: The out-of-band observability plane: impure by design (resource
-#: metering, epoch timestamps), verified out-of-band by the double-run
-#: identity tests — raw sources inside these modules are sanctioned.
-OBS_PLANE_MODULES = frozenset({"repro.obs.probes", "repro.obs.sweep"})
+#: Packages whose modules may not bind mutable state at module level (P6).
+MODULE_STATE_PACKAGES = ("repro.pipeline", "repro.regulators", "repro.core")
 
 
 def explain(rule: str) -> Optional[str]:

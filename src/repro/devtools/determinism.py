@@ -1,6 +1,6 @@
 """Runtime determinism verification: run twice, hash, compare.
 
-``simlint`` (static) and ``mypy`` (types) catch determinism hazards a
+``odr-sim analyze`` (static) and ``mypy`` (types) catch determinism hazards a
 human can name in advance; this module catches the ones nobody named.
 :func:`verify_determinism` runs one small scenario **twice under the
 same seed**, fingerprints each run — a SHA-256 over the *entire event

@@ -20,7 +20,7 @@ runaway schedules visible:
   letting us run" metric.
 
 This module is the **only** sim-path module allowed to read the wall
-clock (``simlint`` rule R2's allowlist): wall time here is a read-only
+clock (analyzer rule P1's sanctuary): wall time here is a read-only
 *measurement* of the host, never an input to simulation behaviour, and
 even that read is injectable — tests pass a fake ``wallclock`` so probe
 arithmetic is itself deterministic.
@@ -42,7 +42,7 @@ def host_epoch() -> float:
     (:mod:`repro.obs.sweep`) needs timestamps a parent and its pool
     workers can put on one timeline, which only the system clock
     provides.  Like every clock read, it lives here — the single
-    R2-allowlisted site — and is a measurement *about* execution, never
+    P1-sanctioned site — and is a measurement *about* execution, never
     an input to simulation behaviour.
     """
     return time.time()
@@ -55,7 +55,7 @@ def host_wallclock() -> float:
     runner's run-cost accounting, the sim-engine self-profiler) must go
     through this function — or through an injected replacement — rather
     than importing :mod:`time` itself, keeping ``repro.obs.probes`` the
-    single R2-allowlisted clock site.
+    single P1-sanctioned clock site.
     """
     return time.perf_counter()
 

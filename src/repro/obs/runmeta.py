@@ -98,7 +98,7 @@ def _rng_stream_names(result: "RunResult") -> List[str]:
 def _gate_delay_stats(telemetry: Optional["Telemetry"]) -> Optional[Dict[str, float]]:
     if telemetry is None:
         return None
-    stats = telemetry.snapshot().histogram_stats("gate_delay_ms")
+    stats = telemetry.gate_delays()
     if not stats.count:
         return None
     return {

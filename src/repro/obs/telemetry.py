@@ -178,6 +178,16 @@ class Telemetry:
         root._spans_at = len(self._events)
         return store
 
+    def gate_delays(self) -> HistogramStats:
+        """The unlabelled ``gate_delay_ms`` series, without a full snapshot.
+
+        Equal to ``snapshot().histogram_stats("gate_delay_ms")``: that key
+        carries no labels, so it is exactly the session-``""`` opens.
+        """
+        return HistogramStats.from_values(
+            float(entry[4]) for entry in self._events if entry[0] == _OPENED and not entry[1]
+        )
+
     def snapshot(self) -> MetricsSnapshot:
         """Point-in-time copy of every metric series, live and derived."""
         # One pass groups the log by (kind, session, label); None marks

@@ -1,5 +1,5 @@
 """Tests for frame-log export, trace record/replay, and replication."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
+# analyzer: allow-file=D2 -- determinism tests assert exact reproduced timestamps on purpose
 
 import io
 

@@ -1,5 +1,5 @@
 """Unit tests for Frame bookkeeping, contention tracking, and input generation."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
+# analyzer: allow-file=D2 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

@@ -1,5 +1,5 @@
 """Integration tests for the assembled cloud-3D system."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
+# analyzer: allow-file=D2 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 
